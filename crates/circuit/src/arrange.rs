@@ -260,11 +260,17 @@ impl GraphArrangement {
             for &c in store.children(o) {
                 *per_child.entry(c).or_insert(0) += 1;
             }
+            // Arranged multiplicities, counted once: scanning `o`'s
+            // children per child would be quadratic in its fan-out.
+            let mut have: FastMap<Oid, usize> = FastMap::default();
+            for &c in self.children(o) {
+                *have.entry(c).or_insert(0) += 1;
+            }
             for (c, want) in per_child {
                 let Some(child_label) = self.label(c) else {
                     continue;
                 };
-                for _ in self.edge_multiplicity(o, c)..want {
+                for _ in have.get(&c).copied().unwrap_or(0)..want {
                     self.add_edge(o, c);
                     ev.edges.push(EdgeEvent {
                         parent: o,
@@ -284,7 +290,9 @@ impl GraphArrangement {
                         continue;
                     }
                     let want = store.children(p).iter().filter(|&&c| c == o).count();
-                    for _ in self.edge_multiplicity(p, o)..want {
+                    // Counted on `o`'s side: `p` may have a large fan-out.
+                    let have = self.parents(o).iter().filter(|&&q| q == p).count();
+                    for _ in have..want {
                         self.add_edge(p, o);
                         ev.edges.push(EdgeEvent {
                             parent: p,

@@ -25,7 +25,9 @@ use crate::operator::{BackwardFlow, Diverged, ForwardFlow};
 use crate::zset::{DistinctOp, ZSet};
 use crate::CircuitError;
 use gsdb::{ConsolidatedDelta, FastMap, FastSet, Oid, Store};
+use gsview_obs::{Counter, Histogram};
 use gsview_query::{PathExpr, Pred};
+use std::sync::{Arc, OnceLock};
 
 /// An existential condition on view members: some instance of `expr`
 /// from the member must end in an atom satisfying `pred`.
@@ -516,21 +518,46 @@ impl Circuit {
     }
 
     fn report(&self, stats: &StepStats) {
-        let reg = gsview_obs::registry();
-        reg.counter("maint.circuit.steps").incr();
-        reg.counter("maint.circuit.delta.weight")
-            .add(stats.input_weight);
-        reg.counter("maint.circuit.operator.expand.pops")
-            .add(stats.sel_pops);
-        reg.counter("maint.circuit.operator.witness.pops")
-            .add(stats.witness_pops);
-        reg.counter("maint.circuit.operator.aggregate.pops")
-            .add(stats.agg_pops);
-        reg.histogram("maint.circuit.arrangement.nodes")
-            .record(stats.arranged_nodes as u64);
-        reg.histogram("maint.circuit.arrangement.edges")
-            .record(stats.arranged_edges as u64);
-        reg.histogram("maint.circuit.state.entries")
-            .record(stats.state_entries as u64);
+        let m = step_metrics();
+        m.steps.incr();
+        m.delta_weight.add(stats.input_weight);
+        m.expand_pops.add(stats.sel_pops);
+        m.witness_pops.add(stats.witness_pops);
+        m.aggregate_pops.add(stats.agg_pops);
+        m.arranged_nodes.record(stats.arranged_nodes as u64);
+        m.arranged_edges.record(stats.arranged_edges as u64);
+        m.state_entries.record(stats.state_entries as u64);
     }
+}
+
+/// Handles to the global-registry metrics every step reports, resolved
+/// once: a by-name lookup takes the registry mutex and scans its list.
+/// [`gsview_obs::Registry::reset`] zeroes metrics in place, so the
+/// handles stay valid across resets.
+struct StepMetrics {
+    steps: Arc<Counter>,
+    delta_weight: Arc<Counter>,
+    expand_pops: Arc<Counter>,
+    witness_pops: Arc<Counter>,
+    aggregate_pops: Arc<Counter>,
+    arranged_nodes: Arc<Histogram>,
+    arranged_edges: Arc<Histogram>,
+    state_entries: Arc<Histogram>,
+}
+
+fn step_metrics() -> &'static StepMetrics {
+    static METRICS: OnceLock<StepMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| {
+        let reg = gsview_obs::registry();
+        StepMetrics {
+            steps: reg.counter("maint.circuit.steps"),
+            delta_weight: reg.counter("maint.circuit.delta.weight"),
+            expand_pops: reg.counter("maint.circuit.operator.expand.pops"),
+            witness_pops: reg.counter("maint.circuit.operator.witness.pops"),
+            aggregate_pops: reg.counter("maint.circuit.operator.aggregate.pops"),
+            arranged_nodes: reg.histogram("maint.circuit.arrangement.nodes"),
+            arranged_edges: reg.histogram("maint.circuit.arrangement.edges"),
+            state_entries: reg.histogram("maint.circuit.state.entries"),
+        }
+    })
 }

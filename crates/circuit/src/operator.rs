@@ -175,21 +175,26 @@ impl<S: Eq + Hash + Copy> ForwardFlow<S> {
         pops: &mut u64,
         dirty: &mut FastSet<(S, Oid)>,
     ) -> Result<(), Diverged> {
-        while let Some(((src, node, s), delta)) = pending.pop() {
-            if *budget == 0 {
-                return Err(Diverged);
-            }
-            *budget -= 1;
-            *pops += 1;
-            self.bump(src, node, s, delta);
-            if s == self.engine.accept {
-                self.accept_support.add((src, node), delta);
-                dirty.insert((src, node));
-            }
-            for &c in arr.children(node) {
-                let l = arr.label(c).expect("live edge child is arranged");
-                for s2 in self.engine.fwd(s, l) {
-                    pending.add((src, c, s2), delta);
+        // Drained a wave at a time: popping single entries off a hash
+        // map rescans its emptied prefix, quadratic in the worklist.
+        // Counts are linear in the deltas, so the order is free.
+        while !pending.is_empty() {
+            for ((src, node, s), delta) in std::mem::take(&mut pending) {
+                if *budget == 0 {
+                    return Err(Diverged);
+                }
+                *budget -= 1;
+                *pops += 1;
+                self.bump(src, node, s, delta);
+                if s == self.engine.accept {
+                    self.accept_support.add((src, node), delta);
+                    dirty.insert((src, node));
+                }
+                for &c in arr.children(node) {
+                    let l = arr.label(c).expect("live edge child is arranged");
+                    for s2 in self.engine.fwd(s, l) {
+                        pending.add((src, c, s2), delta);
+                    }
                 }
             }
         }
@@ -307,24 +312,27 @@ impl BackwardFlow {
         pops: &mut u64,
         dirty: &mut FastSet<Oid>,
     ) -> Result<(), Diverged> {
-        while let Some(((node, s), delta)) = pending.pop() {
-            if *budget == 0 {
-                return Err(Diverged);
-            }
-            *budget -= 1;
-            *pops += 1;
-            self.bump(node, s, delta);
-            if self.engine.start.contains(&s) {
-                self.start_support.add(node, delta);
-                dirty.insert(node);
-            }
-            let parents = arr.parents(node);
-            if !parents.is_empty() {
-                let l = arr.label(node).expect("live edge endpoint is arranged");
-                let inv = self.engine.inv(s, l);
-                for &p in parents {
-                    for &s0 in &inv {
-                        pending.add((p, s0), delta);
+        // A wave at a time, as in `ForwardFlow::propagate`.
+        while !pending.is_empty() {
+            for ((node, s), delta) in std::mem::take(&mut pending) {
+                if *budget == 0 {
+                    return Err(Diverged);
+                }
+                *budget -= 1;
+                *pops += 1;
+                self.bump(node, s, delta);
+                if self.engine.start.contains(&s) {
+                    self.start_support.add(node, delta);
+                    dirty.insert(node);
+                }
+                let parents = arr.parents(node);
+                if !parents.is_empty() {
+                    let l = arr.label(node).expect("live edge endpoint is arranged");
+                    let inv = self.engine.inv(s, l);
+                    for &p in parents {
+                        for &s0 in &inv {
+                            pending.add((p, s0), delta);
+                        }
                     }
                 }
             }

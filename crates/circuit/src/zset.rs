@@ -73,14 +73,6 @@ impl<K: Eq + Hash + Copy> ZSet<K> {
         self.weights.iter().map(|(k, w)| (*k, *w))
     }
 
-    /// Remove and return an arbitrary entry — the worklist pop the
-    /// propagation loops are built on.
-    pub fn pop(&mut self) -> Option<(K, i64)> {
-        let key = *self.weights.keys().next()?;
-        let w = self.weights.remove(&key).expect("key just observed");
-        Some((key, w))
-    }
-
     /// Merge another Z-set into this one (pointwise sum).
     pub fn merge(&mut self, other: &ZSet<K>) {
         for (k, w) in other.iter() {
@@ -91,6 +83,17 @@ impl<K: Eq + Hash + Copy> ZSet<K> {
     /// Total absolute weight — the |Δ| the obs counters report.
     pub fn total_abs_weight(&self) -> u64 {
         self.weights.values().map(|w| w.unsigned_abs()).sum()
+    }
+}
+
+impl<K: Eq + Hash> IntoIterator for ZSet<K> {
+    type Item = (K, i64);
+    type IntoIter = std::collections::hash_map::IntoIter<K, i64>;
+
+    /// Consume the Z-set into its `(key, weight)` pairs. Order is
+    /// unspecified.
+    fn into_iter(self) -> Self::IntoIter {
+        self.weights.into_iter()
     }
 }
 

@@ -6,7 +6,9 @@
 //! it to the circuit IR; a [`CircuitMaintainer`] owns the compiled
 //! circuit plus its arranged state and consumes the same consolidated
 //! delta batches the Algorithm 1 maintainers do, keeping a
-//! [`MaterializedView`] in sync in O(|Δ|) per commit.
+//! [`MaterializedView`] in sync in O(|Δ|) per commit: each step's
+//! membership delta ([`StepOutput`]) is applied to the view directly,
+//! and only a (re)build reconciles the whole view.
 //!
 //! The planner decides per view which backend runs
 //! ([`choose_backend`]): Algorithm 1 already repairs constant
@@ -23,6 +25,13 @@
 //! replay, a fork, a missed epoch), it falls back to an
 //! epoch-consistent rebuild — [`Circuit::init`] against the current
 //! store — which is by construction equivalent to recomputation.
+//!
+//! After every incremental step the adapter checks, in O(1), that the
+//! view holds as many members as the circuit. A view that drifted
+//! from its circuit (edited behind the maintainer's back) fails that
+//! check and is reconciled in full, counted in
+//! `maint.circuit.view.fallbacks`; `maint.circuit.view.synced` counts
+//! the members each call reconciles.
 
 use crate::aggregate::{AggFn, AggregateViewDef};
 use crate::maintain::BatchOutcome;
@@ -32,9 +41,10 @@ use gsdb::{ConsolidatedDelta, DeltaBatch, Oid, Result, Store};
 use gsview_circuit::{
     AggDef, AggKind, BranchDef, Circuit, CircuitDef, CondDef, StepOutput,
 };
+use gsview_obs::Counter;
 use gsview_query::{choose_backend, MaintBackend, PathExpr};
 use std::collections::HashSet;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Any view definition the circuit backend can maintain.
 #[derive(Clone, Debug)]
@@ -214,17 +224,15 @@ impl CircuitMaintainer {
     pub fn initialize(&self, mv: &mut MaterializedView, store: &Store) -> Result<()> {
         let mut inner = self.inner.lock().unwrap();
         Self::rebuild(&mut inner, store, self.source.view())?;
-        let members: HashSet<Oid> = inner.circuit.members().into_iter().collect();
-        drop(inner);
-        sync_view(mv, store, &members).map(|_| ())
+        full_sync(mv, store, &inner.circuit).map(|_| ())
     }
 
-    fn rebuild(inner: &mut Inner, store: &Store, view: Oid) -> Result<StepOutput> {
+    fn rebuild(inner: &mut Inner, store: &Store, view: Oid) -> Result<()> {
         gsview_obs::event!(
             "maint.circuit.rebuild",
             "view" = view.name().to_string(),
         );
-        let out = inner
+        inner
             .circuit
             .init(store)
             // A circuit only fails on divergence — cyclic base under a
@@ -233,25 +241,29 @@ impl CircuitMaintainer {
             .map_err(|_| gsdb::GsdbError::NotATree(view))?;
         inner.version = Some(store.version());
         inner.rebuilds += 1;
-        Ok(out)
+        Ok(())
     }
 
     /// Step the circuit by one consolidated delta, with the store in
-    /// its post-batch state, and return the membership delta.
+    /// its post-batch state, and say how: [`Advance::Stepped`] carries
+    /// the step's membership delta.
     ///
     /// Falls back to an epoch-consistent rebuild when the recorded
     /// version does not match the batch's pre-state or when delta
     /// propagation diverges.
-    fn advance(&self, store: &Store, delta: &ConsolidatedDelta) -> Result<StepOutput> {
-        let mut inner = self.inner.lock().unwrap();
-        let view = self.source.view();
+    fn advance(
+        inner: &mut Inner,
+        store: &Store,
+        delta: &ConsolidatedDelta,
+        view: Oid,
+    ) -> Result<Advance> {
         let pre = store.version().saturating_sub(delta.input_ops as u64);
         if inner.version == Some(pre) {
             match inner.circuit.step(delta, store) {
                 Ok(out) => {
                     inner.version = Some(store.version());
                     inner.steps += 1;
-                    return Ok(out);
+                    return Ok(Advance::Stepped(out));
                 }
                 Err(e) => {
                     gsview_obs::failure(&format!(
@@ -260,7 +272,8 @@ impl CircuitMaintainer {
                 }
             }
         }
-        Self::rebuild(&mut inner, store, view)
+        Self::rebuild(inner, store, view)?;
+        Ok(Advance::Rebuilt)
     }
 
     /// Process a batch of updates with the store in its final state —
@@ -289,17 +302,32 @@ impl CircuitMaintainer {
             "input_ops" = delta.input_ops,
             "consolidated_ops" = delta.len(),
         );
-        self.advance(store, delta)?;
-        let inner = self.inner.lock().unwrap();
-        let members: HashSet<Oid> = inner.circuit.members().into_iter().collect();
+        let mut inner = self.inner.lock().unwrap();
+        let (inserted, deleted) =
+            match Self::advance(&mut inner, store, delta, self.source.view())? {
+                Advance::Stepped(out) => {
+                    let (mut inserted, mut deleted) = apply_step(mv, store, &out)?;
+                    if mv.len() != inner.circuit.member_len() {
+                        // The view was not in step with the circuit
+                        // before this batch: reconcile it in full. The
+                        // outcome lists both passes' edits.
+                        view_metrics().fallbacks.incr();
+                        let (ins, del) = full_sync(mv, store, &inner.circuit)?;
+                        inserted.extend(ins);
+                        deleted.extend(del);
+                    }
+                    (inserted, deleted)
+                }
+                Advance::Rebuilt => full_sync(mv, store, &inner.circuit)?,
+            };
         drop(inner);
-        let (inserted, deleted) = sync_view(mv, store, &members)?;
         // Content upkeep (§3.2): the circuit tracks membership and
         // aggregates; surviving members whose values changed still
         // need their stored copies refreshed.
+        let fresh: HashSet<Oid> = inserted.iter().copied().collect();
         let mut refreshed = 0;
         for &o in &delta.touched {
-            if mv.contains_base(o) && !inserted.contains(&o) {
+            if mv.contains_base(o) && !fresh.contains(&o) {
                 if let Some(obj) = store.get(o) {
                     let obj = obj.clone();
                     if mv.refresh_delegate(&obj)? {
@@ -341,25 +369,87 @@ impl CircuitMaintainer {
     }
 }
 
-/// Reconcile `mv` to exactly `members`; returns (inserted, deleted)
-/// sorted by name.
-fn sync_view(
+/// How [`CircuitMaintainer::advance`] brought the circuit up to date.
+enum Advance {
+    /// One incremental step, with the membership delta it produced.
+    Stepped(StepOutput),
+    /// An epoch-consistent rebuild against the current store.
+    Rebuilt,
+}
+
+/// Handles to the adapter's global-registry counters, resolved once.
+struct ViewMetrics {
+    /// Members reconciled: |inserted| + |deleted| on the step path,
+    /// every view and circuit member scanned on a full sync.
+    synced: Arc<Counter>,
+    /// Steps whose view failed the size check and was fully synced.
+    fallbacks: Arc<Counter>,
+}
+
+fn view_metrics() -> &'static ViewMetrics {
+    static METRICS: OnceLock<ViewMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| {
+        let reg = gsview_obs::registry();
+        ViewMetrics {
+            synced: reg.counter("maint.circuit.view.synced"),
+            fallbacks: reg.counter("maint.circuit.view.fallbacks"),
+        }
+    })
+}
+
+/// Apply one step's membership delta to `mv` in O(|Δ|); returns the
+/// (inserted, deleted) members that changed `mv`, sorted by name.
+fn apply_step(
     mv: &mut MaterializedView,
     store: &Store,
-    members: &HashSet<Oid>,
+    out: &StepOutput,
 ) -> Result<(Vec<Oid>, Vec<Oid>)> {
+    view_metrics()
+        .synced
+        .add((out.inserted.len() + out.deleted.len()) as u64);
+    let mut deleted = Vec::with_capacity(out.deleted.len());
+    for &y in &out.deleted {
+        if mv.v_delete(y)? {
+            deleted.push(y);
+        }
+    }
+    let mut inserted = Vec::with_capacity(out.inserted.len());
+    for &y in &out.inserted {
+        if !mv.contains_base(y) {
+            if let Some(obj) = store.get(y) {
+                mv.v_insert(obj)?;
+                inserted.push(y);
+            }
+        }
+    }
+    inserted.sort_by_key(|o| o.name());
+    deleted.sort_by_key(|o| o.name());
+    Ok((inserted, deleted))
+}
+
+/// Reconcile `mv` to exactly the circuit's members — O(|view|), for
+/// after a (re)build or a failed size check; returns (inserted,
+/// deleted) sorted by name.
+fn full_sync(
+    mv: &mut MaterializedView,
+    store: &Store,
+    circuit: &Circuit,
+) -> Result<(Vec<Oid>, Vec<Oid>)> {
+    let stale = mv.members_base();
+    view_metrics()
+        .synced
+        .add((stale.len() + circuit.member_len()) as u64);
     let mut deleted = Vec::new();
-    for stale in mv.members_base() {
-        if !members.contains(&stale) && mv.v_delete(stale)? {
-            deleted.push(stale);
+    for y in stale {
+        if !circuit.contains(y) && mv.v_delete(y)? {
+            deleted.push(y);
         }
     }
     let mut inserted = Vec::new();
-    for &y in members {
+    for y in circuit.members() {
         if !mv.contains_base(y) {
             if let Some(obj) = store.get(y) {
-                let obj = obj.clone();
-                mv.v_insert(&obj)?;
+                mv.v_insert(obj)?;
                 inserted.push(y);
             }
         }

@@ -225,9 +225,15 @@ impl GeneralMaintainer {
         &self.def
     }
 
-    /// Materialize from scratch.
+    /// Materialize from scratch. On the circuit backend this builds
+    /// the circuit's state too, so the next batch steps instead of
+    /// rebuilding.
     pub fn recompute(&self, store: &Store) -> Result<MaterializedView> {
         let mut mv = MaterializedView::new(self.def.view);
+        if let Some(circuit) = &self.circuit {
+            circuit.initialize(&mut mv, store)?;
+            return Ok(mv);
+        }
         let ans = evaluate(store, &self.def.to_query()).map_err(|_| {
             gsdb::GsdbError::NoSuchObject(self.def.root)
         })?;
@@ -869,6 +875,8 @@ mod tests {
             assert_eq!(out_a.inserted, out_c.inserted, "round {round}");
             assert_eq!(out_a.deleted, out_c.deleted, "round {round}");
         }
+        let circuit = cir.circuit.as_ref().unwrap();
+        assert_eq!((circuit.rebuilds(), circuit.steps()), (1, 3), "batches step");
     }
 
     #[test]

@@ -593,6 +593,17 @@ mod tests {
         }
     }
 
+    /// Hold the installation mutex without installing a collector, so
+    /// the disabled path is what runs and nothing the test emits leaks
+    /// into a collector a concurrent test installed.
+    fn without_collector() -> MutexGuard<'static, ()> {
+        let lock = install_lock()
+            .lock()
+            .unwrap_or_else(|poison| poison.into_inner());
+        assert!(!enabled(), "a collector outlived its guard");
+        lock
+    }
+
     #[test]
     fn spans_nest_and_events_attach_to_innermost() {
         let c = Arc::new(VecCollector::default());
@@ -686,6 +697,7 @@ mod tests {
     #[test]
     fn disabled_macros_do_not_evaluate_fields() {
         // No collector installed: the field expression must not run.
+        let _quiet = without_collector();
         let mut hit = false;
         event!("never", "x" = {
             hit = true;
@@ -716,6 +728,7 @@ mod tests {
         // calls must be effectively free. The tight bound is the
         // E13/E14 smoke baselines; this catches only gross regressions
         // (e.g. fields constructed while disabled).
+        let _quiet = without_collector();
         let start = Instant::now();
         for i in 0..1_000_000u64 {
             event!("hot.loop", "i" = i);

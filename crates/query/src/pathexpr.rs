@@ -616,9 +616,9 @@ fn reach_expr_sparse(
 }
 
 /// Run [`reach_expr`] with the sparse engine regardless of expression
-/// size — the pre-arena baseline realization, kept callable so E13 can
-/// measure the dense engine against it.
-pub fn reach_expr_seed_layout(
+/// size, so tests can check the dense engine against it.
+#[cfg(test)]
+fn reach_expr_seed_layout(
     store: &Store,
     n: Oid,
     e: &PathExpr,
